@@ -17,17 +17,47 @@ delta to the class members.  The paper compares three online schemes
 Policies operate on raw document bytes and a pluggable ``delta_size``
 function, so Table III can measure them with the full differ while the
 delta-server runs them with the cheap light estimator.
+
+Cost of the randomized policy
+-----------------------------
+
+The paper's algorithm is practical because its work is bounded: O(K) light
+deltas per sampled response.  :class:`RandomizedPolicy` keeps that promise
+by measuring each ordered document pair once.  Every estimate it takes —
+both directions on admission, TWO_SET references, and :meth:`utility_of`
+for a rebase's challenger and incumbent — goes through one bounded LRU memo
+keyed on the two documents' :func:`~repro.delta.codec.content_key`.  A
+delta size is a deterministic function of the two byte strings, so a memo
+hit returns exactly what recomputing would: stored sets, ``current()``,
+owners and RNG draws are the same as without the memo.  With the light
+estimator, each candidate also owns its light index from its first memo
+miss as a base until it is evicted or flushed, instead of competing for
+the estimator's shared LRU.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import OrderedDict
 from typing import Callable, Protocol, Sequence
 
 from repro.core.config import BaseFileConfig, EvictionVariant
+from repro.delta.codec import ContentKey, content_key
+from repro.delta.light import LightEstimator
+from repro.delta.vdelta import BaseIndex
+from repro.metrics.registry import MetricsRegistry
 
 DeltaSizeFn = Callable[[bytes, bytes], int]
+
+#: The estimate memo holds this many times K² entries: the K(K-1)
+#: candidate pairs, the K² candidate/reference pairs (TWO_SET) and the
+#: challenger/incumbent rows all fit, with room for recently evicted rows.
+MEMO_ENTRIES_PER_K_SQUARED = 4
+
+ESTIMATES_HELP = (
+    "base-file policy delta estimates: answered by the pair memo or computed"
+)
 
 _candidate_ids = itertools.count()
 
@@ -37,8 +67,17 @@ class BaseFilePolicy(Protocol):
 
     name: str
 
-    def observe(self, document: bytes, user_id: str | None = None) -> None:
-        """Feed one response body (and its requesting user) from the stream."""
+    def observe(
+        self,
+        document: bytes,
+        user_id: str | None = None,
+        key: ContentKey | None = None,
+    ) -> None:
+        """Feed one response body (and its requesting user) from the stream.
+
+        ``key`` is ``content_key(document)`` when the caller already holds
+        it; policies that key on content use it instead of re-hashing.
+        """
 
     def current(self) -> bytes | None:
         """The document the policy would use as base-file right now."""
@@ -64,7 +103,12 @@ class FirstResponsePolicy:
         self._first: bytes | None = None
         self._owner: str | None = None
 
-    def observe(self, document: bytes, user_id: str | None = None) -> None:
+    def observe(
+        self,
+        document: bytes,
+        user_id: str | None = None,
+        key: ContentKey | None = None,
+    ) -> None:
         if self._first is None:
             self._first = document
             self._owner = user_id
@@ -83,14 +127,20 @@ class FirstResponsePolicy:
 class _Candidate:
     """A stored document plus its deltas to the measurement set."""
 
-    __slots__ = ("doc", "deltas", "id", "owner")
+    __slots__ = ("doc", "key", "deltas", "id", "owner", "light")
 
-    def __init__(self, doc: bytes, owner: str | None = None) -> None:
+    def __init__(
+        self, doc: bytes, key: ContentKey, owner: str | None = None
+    ) -> None:
         self.doc = doc
+        self.key = key
         self.id = next(_candidate_ids)
         self.owner = owner
         # delta sizes keyed by the *other* document's candidate id
         self.deltas: dict[int, int] = {}
+        # light index over ``doc``, built on the first memo miss with this
+        # document as the base and dropped on eviction or flush
+        self.light: BaseIndex | None = None
 
     def utility(self) -> int:
         """Sum of deltas: lower is a better base-file (paper's local utility)."""
@@ -112,6 +162,12 @@ class RandomizedPolicy:
        * ``TWO_SET``: keep a second, independent set of ``K`` random
          samples and measure candidates against *it*, so the measurement
          set cannot collapse onto the candidate set.
+
+    ``delta_size`` must be a deterministic function of its two byte
+    strings: results are memoized by content (see the module docstring).
+    When it is a light estimator's ``estimate``, pass that ``estimator``
+    too, so candidates keep their own light indexes.  ``metrics`` counts
+    ``policy_estimates_total{result="memo"|"computed"}``.
     """
 
     name = "randomized"
@@ -121,20 +177,39 @@ class RandomizedPolicy:
         config: BaseFileConfig,
         delta_size: DeltaSizeFn,
         rng: random.Random,
+        *,
+        estimator: LightEstimator | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self._config = config
         self._delta_size = delta_size
+        self._estimator = estimator
+        self._metrics = metrics
         self._rng = rng
         self._candidates: list[_Candidate] = []
         self._references: list[_Candidate] = []  # TWO_SET only
         self._evictions = 0
+        # (base key, target key) -> delta size, least recently used first
+        self._memo: OrderedDict[tuple[ContentKey, ContentKey], int] = OrderedDict()
+        self._memo_capacity = MEMO_ENTRIES_PER_K_SQUARED * config.capacity**2
+        # The last document utility_of measured that is not a stored
+        # candidate — in practice the class's incumbent base-file — so
+        # repeated rebase checks neither re-hash nor re-index it.
+        self._outsider: _Candidate | None = None
 
     # -- policy interface --------------------------------------------------
 
-    def observe(self, document: bytes, user_id: str | None = None) -> None:
+    def observe(
+        self,
+        document: bytes,
+        user_id: str | None = None,
+        key: ContentKey | None = None,
+    ) -> None:
         if self._rng.random() >= self._config.sample_probability:
             return
-        self._admit(_Candidate(document, owner=user_id))
+        if key is None:
+            key = content_key(document)
+        self._admit(_Candidate(document, key, owner=user_id))
 
     def current(self) -> bytes | None:
         if not self._candidates:
@@ -147,8 +222,11 @@ class RandomizedPolicy:
         return min(self._candidates, key=_Candidate.utility).owner
 
     def flush(self) -> None:
+        for candidate in self._candidates:
+            candidate.light = None
         self._candidates.clear()
         self._references.clear()
+        self._outsider = None
 
     def utility_of(self, document: bytes) -> float | None:
         """Mean delta from ``document`` to the measurement set.
@@ -160,14 +238,17 @@ class RandomizedPolicy:
         itself).  ``None`` when there is nothing to measure against.
         """
         references = self._measurement_set()
+        if not references:
+            return None
+        subject = self._subject(document)
         skipped_self = False
         total = 0
         count = 0
         for ref in references:
-            if not skipped_self and ref.doc == document:
+            if not skipped_self and ref.key == subject.key:
                 skipped_self = True
                 continue
-            total += self._delta_size(document, ref.doc)
+            total += self._measure(subject, ref)
             count += 1
         if count == 0:
             return None
@@ -180,6 +261,46 @@ class RandomizedPolicy:
         """Candidate documents currently stored (diagnostics/tests)."""
         return [c.doc for c in self._candidates]
 
+    def _subject(self, document: bytes) -> _Candidate:
+        """The stored candidate holding ``document`` (by identity), else the
+        cached outsider entry for it."""
+        for candidate in self._candidates:
+            if candidate.doc is document:
+                return candidate
+        outsider = self._outsider
+        if outsider is None or outsider.doc is not document:
+            outsider = self._outsider = _Candidate(document, content_key(document))
+        return outsider
+
+    def _measure(self, base: _Candidate, target: _Candidate) -> int:
+        """Delta size from ``base`` to ``target``, computed once per pair."""
+        pair = (base.key, target.key)
+        memo = self._memo
+        size = memo.get(pair)
+        if size is not None:
+            memo.move_to_end(pair)
+            self._count("memo")
+            return size
+        if self._estimator is None:
+            size = self._delta_size(base.doc, target.doc)
+        else:
+            if base.light is None:
+                base.light = self._estimator.index(base.doc, base.key, cache=False)
+            size = self._estimator.estimate_with_index(base.light, target.doc)
+        self._count("computed")
+        memo[pair] = size
+        if len(memo) > self._memo_capacity:
+            memo.popitem(last=False)
+        return size
+
+    def _count(self, result: str) -> None:
+        if self._metrics is not None:
+            self._metrics.inc(
+                "policy_estimates_total",
+                labels={"result": result},
+                help=ESTIMATES_HELP,
+            )
+
     def _measurement_set(self) -> list[_Candidate]:
         if self._config.eviction is EvictionVariant.TWO_SET:
             return self._references
@@ -191,22 +312,20 @@ class RandomizedPolicy:
             return
         # Measure the newcomer against current residents and vice versa.
         for other in self._candidates:
-            candidate.deltas[other.id] = self._delta_size(candidate.doc, other.doc)
-            other.deltas[candidate.id] = self._delta_size(other.doc, candidate.doc)
+            candidate.deltas[other.id] = self._measure(candidate, other)
+            other.deltas[candidate.id] = self._measure(other, candidate)
         self._candidates.append(candidate)
         if len(self._candidates) > self._config.capacity:
             self._evict()
 
     def _admit_two_set(self, candidate: _Candidate) -> None:
-        reference = _Candidate(candidate.doc)
+        reference = _Candidate(candidate.doc, candidate.key)
         # New candidate measured against the reference set.
         for ref in self._references:
-            candidate.deltas[ref.id] = self._delta_size(candidate.doc, ref.doc)
+            candidate.deltas[ref.id] = self._measure(candidate, ref)
         # Existing candidates gain a measurement against the new reference.
         for existing in self._candidates:
-            existing.deltas[reference.id] = self._delta_size(
-                existing.doc, reference.doc
-            )
+            existing.deltas[reference.id] = self._measure(existing, reference)
         self._candidates.append(candidate)
         self._references.append(reference)
         if len(self._candidates) > self._config.capacity:
@@ -235,6 +354,7 @@ class RandomizedPolicy:
 
     def _remove_candidate(self, victim: _Candidate) -> None:
         self._candidates.remove(victim)
+        victim.light = None
         for other in self._candidates:
             other.deltas.pop(victim.id, None)
 
@@ -259,7 +379,12 @@ class OnlineOptimalPolicy:
         self._sums: list[int] = []
         self._owners: list[str | None] = []
 
-    def observe(self, document: bytes, user_id: str | None = None) -> None:
+    def observe(
+        self,
+        document: bytes,
+        user_id: str | None = None,
+        key: ContentKey | None = None,
+    ) -> None:
         if self._max_documents is not None and len(self._docs) >= self._max_documents:
             return
         new_sum = 0

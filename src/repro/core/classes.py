@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.core.anonymize import AnonymizationState, Anonymizer
 from repro.core.base_file import BaseFilePolicy
 from repro.core.config import AnonymizationConfig
-from repro.delta.codec import checksum
+from repro.delta.codec import ContentKey, checksum
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import BaseIndex, VdeltaEncoder
 
@@ -45,7 +45,7 @@ class ClassStats:
 
 
 class EncodeCache:
-    """Per-class LRU of encoded deltas keyed by (base version, target checksum).
+    """Per-class LRU of encoded deltas keyed by (base version, target key).
 
     Popular classes see the same (base, document) pair repeatedly — every
     member URL rendering the same snapshot, every concurrent client holding
@@ -58,8 +58,11 @@ class EncodeCache:
     that exact version at commit time, and versions are never reused while
     a class lives (the counter is monotonic; :meth:`DocumentClass.release_base`
     keeps it, :meth:`DocumentClass.restore_base` — which may set an arbitrary
-    version — clears the cache).  The target checksum pins the document
-    bytes; base bytes for a version are pinned by the promotion-time
+    version — clears the cache).  The target's
+    :func:`~repro.delta.codec.content_key` (length + BLAKE2b-128) pins the
+    document bytes: class members are different users' pages, so a forgeable
+    32-bit checksum here would serve one user a delta that rebuilds another
+    user's page.  Base bytes for a version are pinned by the promotion-time
     integrity checksum (corruption quarantines, which also clears).
 
     The cache has its own lock so the engine's off-lock encode path can
@@ -70,12 +73,14 @@ class EncodeCache:
 
     def __init__(self, capacity: int = 8) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[int, int], tuple[int, bytes]] = OrderedDict()
+        self._entries: OrderedDict[tuple[int, ContentKey], tuple[int, bytes]] = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
-    def get(self, version: int, target_checksum: int) -> tuple[int, bytes] | None:
+    def get(self, version: int, target_key: ContentKey) -> tuple[int, bytes] | None:
         """Cached ``(wire_size, payload)`` for the pair, refreshing recency."""
-        key = (version, target_checksum)
+        key = (version, target_key)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -83,9 +88,9 @@ class EncodeCache:
             return entry
 
     def put(
-        self, version: int, target_checksum: int, wire_size: int, payload: bytes
+        self, version: int, target_key: ContentKey, wire_size: int, payload: bytes
     ) -> None:
-        key = (version, target_checksum)
+        key = (version, target_key)
         with self._lock:
             self._entries[key] = (wire_size, payload)
             self._entries.move_to_end(key)
@@ -170,7 +175,7 @@ class DocumentClass:
         self._sketch_base: bytes | None = None
 
         # Finished (wire_size, compressed payload) artifacts per
-        # (base version, target checksum); see EncodeCache for why hits
+        # (base version, target content key); see EncodeCache for why hits
         # are safe across the engine's snapshot-encode-commit races.
         self.encode_cache = EncodeCache()
 

@@ -72,12 +72,12 @@ from typing import Callable, Iterator
 
 from repro.core.classes import DocumentClass
 from repro.core.config import DeltaServerConfig
-from repro.core.base_file import RandomizedPolicy
+from repro.core.base_file import ESTIMATES_HELP, RandomizedPolicy
 from repro.core.counters import StripedCounters
 from repro.core.grouping import Grouper
 from repro.core.rebase import RebaseController
 from repro.core.storage import StorageManager
-from repro.delta.codec import checksum
+from repro.delta.codec import ContentKey, checksum, content_key
 from repro.delta.light import LightEstimator
 from repro.delta.vdelta import BaseIndex, VdeltaEncoder
 from repro.http.messages import (
@@ -98,6 +98,8 @@ from repro.url.rules import RuleBook
 BASE_FILE_SEGMENT = "__delta_base__"
 
 OriginFetch = Callable[[Request, float], Response]
+
+INDEX_BUILDS_HELP = "light-estimator indexes built (cache misses, all callers)"
 
 
 def format_stage_times(timings: dict[str, float]) -> str:
@@ -217,7 +219,17 @@ class DeltaServer:
         self._quarantined: set[str] = set()
         self._rng = random.Random(self.config.seed)
         self._encoder = VdeltaEncoder()
-        self._estimator = LightEstimator()
+        self._estimator = LightEstimator(on_build=self._note_index_build)
+        # Zero-valued series up front, so a scrape shows the memo hit ratio
+        # (and the build count) before the first estimate.
+        for result in ("memo", "computed"):
+            self.metrics.inc(
+                "policy_estimates_total",
+                0.0,
+                {"result": result},
+                help=ESTIMATES_HELP,
+            )
+        self.metrics.inc("light_index_builds_total", 0.0, help=INDEX_BUILDS_HELP)
         # One reusable wire buffer per thread: the streaming kernel clears
         # and refills it, so steady-state encodes allocate nothing for
         # wire bytes.  Thread-local because encodes run off-lock.
@@ -262,7 +274,11 @@ class DeltaServer:
 
     def _build_class(self, class_id: str, server: str, hint: str) -> DocumentClass:
         policy = RandomizedPolicy(
-            self.config.base_file, self._light_size, self._rng
+            self.config.base_file,
+            self._estimator.estimate,
+            self._rng,
+            estimator=self._estimator,
+            metrics=self.metrics,
         )
         cls = DocumentClass(
             class_id=class_id,
@@ -319,8 +335,8 @@ class DeltaServer:
             )
         )
 
-    def _light_size(self, base: bytes, target: bytes) -> int:
-        return self._estimator.estimate(base, target)
+    def _note_index_build(self) -> None:
+        self.metrics.inc("light_index_builds_total", help=INDEX_BUILDS_HELP)
 
     @contextmanager
     def _class_locked(
@@ -335,6 +351,27 @@ class DeltaServer:
         finally:
             cls.lock.release()
 
+    @staticmethod
+    @contextmanager
+    def _stage(name: str, timings: dict[str, float]) -> Iterator[None]:
+        """Time a pipeline stage into ``timings[name]``.
+
+        Lock waits and store commits inside the window are recorded as
+        their own stages and subtracted here, so no time counts twice.
+        """
+        started = perf_counter()
+        waited = timings["lock_wait"]
+        committed = timings.get("store_commit", 0.0)
+        try:
+            yield
+        finally:
+            timings[name] = (
+                perf_counter()
+                - started
+                - (timings["lock_wait"] - waited)
+                - (timings.get("store_commit", 0.0) - committed)
+            )
+
     # -- request handling ----------------------------------------------------------
 
     def handle(self, request: Request, now: float) -> Response:
@@ -345,13 +382,13 @@ class DeltaServer:
         docstring for the locking model); ``serialized`` mode funnels
         every caller through one global lock, origin fetch included.
 
-        Each request's pipeline stages (lock wait, class lookup, origin
-        fetch, encode, compress) are timed into the engine's metrics
-        registry and attached to the response as ``X-Stage-Times`` so a
-        slow request can be correlated (via ``X-Trace-Id``) with the
-        stage that cost it.  ``lock_wait`` aggregates every wait of the
-        request — global lock in serialized mode; shard, class, and
-        commit lock acquisitions in sharded mode.
+        Each request's pipeline stages (lock wait, origin fetch, classify,
+        policy, storage, store commit, encode, compress) are disjoint,
+        timed into the engine's metrics registry and attached to the
+        response as ``X-Stage-Times`` so a slow request can be correlated
+        (via ``X-Trace-Id``) with the stage that cost it.  ``lock_wait``
+        aggregates every wait of the request — global lock in serialized
+        mode; shard, class, and commit lock acquisitions in sharded mode.
         """
         timings: dict[str, float] = {"lock_wait": 0.0}
         if self._serialized:
@@ -405,34 +442,35 @@ class DeltaServer:
 
         document = origin_response.body
         self._counters.inc("direct_bytes", len(document))
+        with self._stage("classify", timings):
+            cls, _created = self.grouper.classify(request.url, document, timings)
+        with self._stage("policy", timings):
+            # The one strong content key of this response: the policy's
+            # candidate key and the encode-cache key.
+            doc_key = content_key(document)
+            self._ingest(cls, request, document, doc_key, now, timings)
+        with self._stage("storage", timings):
+            if self.storage.stats.enforced:
+                # Never called holding a class lock (the manager takes them
+                # one at a time); a release racing an in-flight encode is
+                # caught by that request's commit revalidation.
+                self.storage.enforce(self.grouper.classes, protect=cls)
 
-        started = perf_counter()
-        waited_before = timings["lock_wait"]
-        cls, _created = self.grouper.classify(request.url, document, timings)
-        self._ingest(cls, request, document, now, timings)
-        if self.storage.stats.enforced:
-            # Never called holding a class lock (the manager takes them
-            # one at a time); a release racing an in-flight encode is
-            # caught by that request's commit revalidation.
-            self.storage.enforce(self.grouper.classes, protect=cls)
-        timings["classify"] = (perf_counter() - started) - (
-            timings["lock_wait"] - waited_before
-        )
-
-        return self._respond(cls, request, document, timings)
+        return self._respond(cls, request, document, doc_key, timings)
 
     def _ingest(
         self,
         cls: DocumentClass,
         request: Request,
         document: bytes,
+        doc_key: ContentKey,
         now: float,
         timings: dict[str, float],
     ) -> None:
         """Feed one fresh origin document into the class, under its lock."""
         with self._class_locked(cls, timings):
             version_before = cls.version
-            cls.policy.observe(document, request.user_id)
+            cls.policy.observe(document, request.user_id, key=doc_key)
             if cls.raw_base is None:
                 # The class is born with this response as its base-file
                 # (the simplest scheme); a storage-released or quarantined
@@ -603,6 +641,7 @@ class DeltaServer:
         cls: DocumentClass,
         request: Request,
         document: bytes,
+        doc_key: ContentKey,
         timings: dict[str, float],
     ) -> Response:
         """Answer with a delta when possible, else the full document.
@@ -622,7 +661,7 @@ class DeltaServer:
             plan = self._plan_delta(cls, accepted, timings)
             if plan is None:
                 break
-            encoded = self._encode_delta(cls, plan, document, timings)
+            encoded = self._encode_delta(cls, plan, document, doc_key, timings)
             if encoded is None:
                 break  # encoder fault — class just quarantined
             outcome, response = self._commit_delta(
@@ -696,6 +735,7 @@ class DeltaServer:
         cls: DocumentClass,
         plan: _DeltaPlan,
         document: bytes,
+        doc_key: ContentKey,
         timings: dict[str, float],
     ) -> tuple[int, bytes] | None:
         """Encode + compress against the snapshot, under no lock.
@@ -705,12 +745,11 @@ class DeltaServer:
         chunks, so the uncompressed wire image is never materialized; the
         finished artifact is memoized in the class's
         :class:`~repro.core.classes.EncodeCache` keyed by (base version,
-        target checksum) — repeat requests for the same snapshot skip the
-        whole encode.
+        target content key) — repeat requests for the same snapshot skip
+        the whole encode.
         """
         started = perf_counter()
-        doc_checksum = checksum(document)
-        cached = cls.encode_cache.get(plan.version, doc_checksum)
+        cached = cls.encode_cache.get(plan.version, doc_key)
         if cached is not None:
             self.metrics.inc(
                 "delta_encode_cache_hits_total",
@@ -739,7 +778,7 @@ class DeltaServer:
                 plan.index,
                 document,
                 sink,
-                doc_checksum,
+                checksum(document),
                 buffer=self._encode_buffer(),
             )
             entered = perf_counter()
@@ -756,7 +795,7 @@ class DeltaServer:
         total = perf_counter() - started
         timings["encode"] = timings.get("encode", 0.0) + (total - compress_seconds)
         timings["compress"] = timings.get("compress", 0.0) + compress_seconds
-        cls.encode_cache.put(plan.version, doc_checksum, wire_size, payload)
+        cls.encode_cache.put(plan.version, doc_key, wire_size, payload)
         return wire_size, payload
 
     def _commit_delta(

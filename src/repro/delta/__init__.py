@@ -23,7 +23,9 @@ from __future__ import annotations
 from repro.delta.apply import apply_delta, replay
 from repro.delta.codec import (
     DEFAULT_MAX_TARGET_LENGTH,
+    ContentKey,
     checksum,
+    content_key,
     decode_delta,
     encode_delta,
     encoded_size,
@@ -73,6 +75,7 @@ __all__ = [
     "BaseIndex",
     "DEFAULT_MAX_TARGET_LENGTH",
     "BaseMismatchError",
+    "ContentKey",
     "Copy",
     "CorruptDeltaError",
     "DeltaError",
@@ -88,6 +91,7 @@ __all__ = [
     "checksum",
     "compress",
     "compressed_size",
+    "content_key",
     "copied_bytes",
     "decode_delta",
     "decompress",

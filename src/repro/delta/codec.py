@@ -40,6 +40,7 @@ wire at clients and proxies) and enforces:
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 
 from repro.delta.errors import CorruptDeltaError
@@ -254,3 +255,18 @@ def encoded_size(instructions: list[Instruction], base_length: int) -> int:
 def checksum(data: bytes) -> int:
     """Adler-32 checksum used for target/base integrity tags."""
     return zlib.adler32(data) & 0xFFFFFFFF
+
+
+#: ``(length, 16-byte BLAKE2b digest)`` -- see :func:`content_key`.
+ContentKey = tuple[int, bytes]
+
+
+def content_key(data: bytes) -> ContentKey:
+    """Strong content identity for caches shared between users.
+
+    :func:`checksum` is a fine integrity tag against accidents but cannot
+    key a cache: Adler-32 is trivially collided (adding +1/-2/+1 to three
+    adjacent bytes keeps both of its sums), which would hand one user's
+    cached artifact to another user's page of the same length.
+    """
+    return len(data), hashlib.blake2b(data, digest_size=16).digest()

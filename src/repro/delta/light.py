@@ -18,10 +18,11 @@ classes, several times cheaper than the full differ.
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.delta.codec import ContentKey, content_key
 from repro.delta.vdelta import BaseIndex, VdeltaEncoder
 
 
@@ -36,11 +37,17 @@ class LightEstimator:
     step:
         Index every ``step``-th base position only.
     index_cache_size:
-        Light indexes are memoized per base-file (keyed by length +
-        adler32), because the same documents are estimated against
-        repeatedly — every admitted base-file candidate, every class base.
-        Estimates tolerate the astronomically unlikely checksum collision;
-        the *full* encoder deliberately has no such cache.
+        Light indexes are memoized per base-file, keyed by
+        :func:`~repro.delta.codec.content_key` (length + BLAKE2b-128),
+        because the same documents are estimated against repeatedly —
+        every class base, every base-file candidate.  A 32-bit checksum
+        key would let two colliding documents share one index; the
+        strong key cannot.  The *full* encoder deliberately has no such
+        cache.
+    on_build:
+        Called after every index actually built (including the loser of
+        a racing miss; not on cache hits), e.g. to count builds in a
+        metrics registry.
 
     One estimator is shared by the whole sharded engine (every class, every
     shard), so the LRU bookkeeping is guarded by a lock.  The expensive
@@ -53,8 +60,9 @@ class LightEstimator:
     chunk_size: int = 16
     step: int = 8
     index_cache_size: int = 64
+    on_build: Callable[[], None] | None = None
     _encoder: VdeltaEncoder = field(init=False, repr=False)
-    _cache: "OrderedDict[tuple[int, int], BaseIndex]" = field(
+    _cache: "OrderedDict[ContentKey, BaseIndex]" = field(
         init=False, repr=False, default_factory=OrderedDict
     )
     _cache_lock: threading.Lock = field(
@@ -70,15 +78,29 @@ class LightEstimator:
             max_candidates=4,
         )
 
-    def index(self, base: bytes) -> BaseIndex:
-        """Return a (memoized) light index for a base-file."""
-        key = (len(base), zlib.adler32(base))
+    def index(
+        self, base: bytes, key: ContentKey | None = None, *, cache: bool = True
+    ) -> BaseIndex:
+        """Return a (memoized) light index for a base-file.
+
+        ``key`` is ``content_key(base)``, for callers that already hold it.
+        ``cache=False`` is for callers that keep the index themselves for
+        as long as they need it (base-file candidates): a cached entry is
+        still reused, but a fresh build is not also pinned in the LRU,
+        where it would outlive its owner.
+        """
+        if key is None:
+            key = content_key(base)
         with self._cache_lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self._cache.move_to_end(key)
                 return cached
         built = self._encoder.index(base)
+        if self.on_build is not None:
+            self.on_build()
+        if not cache:
+            return built
         with self._cache_lock:
             # A racing miss may have inserted first; keep its entry (either
             # index is equivalent) and just refresh recency.

@@ -125,13 +125,19 @@ class EncodeResult:
 
 
 class BaseIndex:
-    """Hash index of a base-file: position lists keyed by byte chunks.
+    """Hash index of a base-file: position chains keyed by byte chunks.
 
     Built once per base-file and reused across every target diffed against
     it — on the delta-server one base-file serves a whole class of
     documents, so amortizing the index matters.  The kernel reads
     ``table`` directly (one dict ``get`` per target position, no method
     dispatch); ``candidates`` remains for the instruction-level consumers.
+
+    Chains are built directly as tuples of ints, which the cyclic garbage
+    collector stops tracking after their first collection.  A server holds
+    hundreds of thousands of chains (one full index per class, one light
+    index per base-file candidate); as lists they all stayed tracked, and
+    every full collection paused the process to walk them.
     """
 
     __slots__ = ("base", "chunk_size", "step", "table", "max_chain")
@@ -151,25 +157,25 @@ class BaseIndex:
         self.chunk_size = chunk_size
         self.step = step
         self.max_chain = max_chain
-        table: dict[bytes, list[int]] = {}
+        table: dict[bytes, tuple[int, ...]] = {}
         get = table.get
         for pos in range(0, len(base) - chunk_size + 1, step):
             key = base[pos : pos + chunk_size]
             chain = get(key)
             if chain is None:
-                table[key] = [pos]
+                table[key] = (pos,)
             elif len(chain) < max_chain:
-                chain.append(pos)
+                table[key] = chain + (pos,)
         self.table = table
 
     @property
-    def _table(self) -> dict[bytes, list[int]]:
+    def _table(self) -> dict[bytes, tuple[int, ...]]:
         # Pre-rewrite private name, kept for external pokers.
         return self.table
 
-    def candidates(self, key: bytes) -> list[int]:
+    def candidates(self, key: bytes) -> tuple[int, ...]:
         """Base-file positions whose chunk equals ``key`` (possibly empty)."""
-        return self.table.get(key, [])
+        return self.table.get(key, ())
 
     def __len__(self) -> int:
         return len(self.table)

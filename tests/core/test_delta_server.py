@@ -1,5 +1,7 @@
 """Tests for the DeltaServer engine (request handling, Fig. 1 flow)."""
 
+from time import perf_counter
+
 import pytest
 
 from repro.core.config import (
@@ -24,6 +26,7 @@ from repro.http.messages import (
 )
 from repro.origin.server import OriginServer
 from repro.origin.site import SiteSpec, SyntheticSite
+from repro.store import PersistentStoreHooks, Store
 from repro.url.rules import RuleBook
 
 
@@ -285,6 +288,46 @@ class TestStageTiming:
                 "engine_stage_seconds", {"stage": stage}
             )
             assert hist is not None and hist.count >= 1
+
+    def test_stages_are_disjoint_and_fit_in_handle(self, tmp_path):
+        """classify, policy and storage are separate stages, store commits
+        are not counted inside policy, and no time counts twice."""
+        site = SyntheticSite(SiteSpec(name="www.d.example", products_per_category=4))
+        origin = OriginServer([site])
+        rulebook = RuleBook()
+        rulebook.add_rule(site.spec.name, site.hint_rule_pattern())
+        config = DeltaServerConfig(
+            anonymization=AnonymizationConfig(enabled=True, documents=2, min_count=1),
+            base_file=BaseFileConfig(sample_probability=0.5, rebase_timeout=5.0),
+            storage_budget_bytes=1_000_000,  # enforced on every request
+        )
+        server = DeltaServer(
+            origin.handle,
+            config,
+            rulebook,
+            store_hooks=PersistentStoreHooks(Store.open(tmp_path / "state")),
+        )
+        held: dict[str, set[str]] = {}
+        commits = 0
+        for i in range(120):
+            user = f"u{i % 6}"
+            page = site.all_pages()[i % 5]
+            refs = held.setdefault(user, set())
+            request = req(site.url_for(page), user, accept=",".join(sorted(refs)))
+            started = perf_counter()
+            response = server.handle(request, now=float(i))
+            wall = perf_counter() - started
+            if response.base_file_ref:
+                refs.add(response.base_file_ref)
+            stages = parse_stage_times(response.headers.get(HEADER_STAGE_TIMES))
+            assert {"classify", "policy", "storage"} <= stages.keys()
+            assert all(seconds >= 0.0 for seconds in stages.values())
+            # The header rounds each stage to the microsecond.
+            assert sum(stages.values()) <= wall + 1e-6 * len(stages)
+            commits += "store_commit" in stages
+        assert commits > 0
+        assert server.stats.deltas_served > 0
+        server.close()
 
     def test_format_parse_round_trip(self):
         timings = {"origin_fetch": 0.001234, "encode": 0.000056}

@@ -1,5 +1,6 @@
 """Unit and property tests for the Vdelta-style encoder."""
 
+import gc
 import random
 
 import pytest
@@ -128,6 +129,24 @@ class TestEncoderConfig:
         via_index = encoder.encode_with_index(index, target)
         one_shot = encoder.encode(base, target)
         assert via_index.instructions == one_shot.instructions
+
+    def test_index_chains_leave_the_collector(self):
+        # A server keeps hundreds of thousands of chains alive; tuples of
+        # ints drop out of the cyclic collector's generations after one
+        # pass, so full collections stop walking them.
+        index = BaseIndex(b"shared content block " * 40, chunk_size=4)
+        assert max(len(chain) for chain in index.table.values()) > 1
+        gc.collect()
+        assert not any(gc.is_tracked(chain) for chain in index.table.values())
+
+    def test_index_chains_keep_first_positions_in_order(self):
+        base = b"abab" * 50
+        index = BaseIndex(base, chunk_size=2, max_chain=5)
+        assert index.candidates(b"ab") == (0, 2, 4, 6, 8)
+        assert index.candidates(b"ba") == (1, 3, 5, 7, 9)
+        assert index.candidates(b"zz") == ()
+        sparse = BaseIndex(base, chunk_size=2, step=4, max_chain=64)
+        assert sparse.candidates(b"ab") == tuple(range(0, 199, 4))
 
     def test_index_chunk_size_mismatch_rejected(self):
         encoder = VdeltaEncoder(chunk_size=4)

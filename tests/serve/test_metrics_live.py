@@ -121,6 +121,17 @@ class TestMetricsEndpoint:
                 assert 'repro_breaker_state{state="closed"} 1' in text
                 # The scrape itself is not a document request.
                 assert "repro_health_checks_total 0" in text
+                # Base-file selection cost: memo hit ratio and index builds.
+                for family in ("policy_estimates_total", "light_index_builds_total"):
+                    assert f"# HELP repro_{family} " in text
+                    assert f"# TYPE repro_{family} counter" in text
+                for result in ("memo", "computed"):
+                    assert re.search(
+                        rf'^repro_policy_estimates_total\{{result="{result}"\}} \d',
+                        text,
+                        re.M,
+                    )
+                assert re.search(r"^repro_light_index_builds_total \d", text, re.M)
 
         asyncio.run(main())
 
@@ -136,6 +147,8 @@ class TestMetricsEndpoint:
                 text = response.body.decode()
                 assert malformed_lines(text) == []
                 assert "repro_responses_total 0" in text
+                assert 'repro_policy_estimates_total{result="memo"} 0' in text
+                assert "repro_light_index_builds_total 0" in text
                 assert 'repro_request_latency_seconds_bucket{le="+Inf"} 0' in text
 
         asyncio.run(main())
